@@ -34,7 +34,7 @@ use hybrid_bench::scenarios::{
     appendix_b_rows, figure1_rows, table1_rows, table2_rows, table3_rows, table4_rows, GraphFamily,
 };
 use hybrid_bench::sweep::{sweep_rows_with, validate_sweep_artifact, SweepConfig};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 const USAGE: &str =
     "usage: reproduce [table1|table2|table3|table4|figure1|appendix-b|sweep|faults|oracle|all] [--scale] [--algo <name,...>] [--quick] [--check-regression] [--strict]";
@@ -209,42 +209,22 @@ impl BenchRecord {
 const REGRESSION_FACTOR: f64 = 2.0;
 const REGRESSION_SLACK_MS: f64 = 100.0;
 
-/// Pulls every `"target": "name" … "wall_ms": x` pair out of a recorded
-/// bench JSON without a deserializer (the vendored `serde_json` only
-/// serializes).  The scan keys on the `"target"` fields, so the baseline's
-/// auxiliary maps (e.g. `pre_optimization_wall_ms`) are ignored.
-fn parse_recorded_targets(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for chunk in json.split("\"target\"").skip(1) {
-        let Some(name) = chunk.split('"').nth(1) else {
-            continue;
-        };
-        let Some(rest) = chunk.split("\"wall_ms\"").nth(1) else {
-            continue;
-        };
-        let number: String = rest
-            .chars()
-            .skip_while(|c| *c == ':' || c.is_whitespace())
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-            .collect();
-        if let Ok(ms) = number.parse::<f64>() {
-            out.push((name.to_string(), ms));
-        }
-    }
-    out
+/// The part of a recorded bench JSON (`BENCH_baseline.json`) the gate reads.
+/// The derive ignores every other key — the baseline's `note`, `machine`
+/// and `pre_optimization_wall_ms`, a target's `peak_mem_bytes`.
+#[derive(Deserialize)]
+struct RecordedBench {
+    /// Whether the record was a `--quick` run.
+    quick: bool,
+    /// Per-target wall-clock times.
+    targets: Vec<RecordedTarget>,
 }
 
-/// Whether the recorded JSON was a `--quick` run (`"quick": true`).
-fn parse_quick_flag(json: &str) -> Option<bool> {
-    let rest = json.split("\"quick\"").nth(1)?;
-    let value = rest.trim_start_matches([':', ' ', '\t', '\n']);
-    if value.starts_with("true") {
-        Some(true)
-    } else if value.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
+/// One target's recorded wall-clock time.
+#[derive(Deserialize)]
+struct RecordedTarget {
+    target: String,
+    wall_ms: f64,
 }
 
 /// The bench regression gate: compares this run's per-target times against
@@ -284,21 +264,28 @@ fn gate_regressions(record: &BenchRecord, baseline_text: Option<&str>, strict: b
                 .to_string(),
         );
     };
-    if parse_quick_flag(text) != Some(record.quick) {
+    let baseline: RecordedBench = match serde_json::from_str(text) {
+        Ok(baseline) => baseline,
+        Err(e) => return skip(format!("BENCH_baseline.json is not a bench record ({e})")),
+    };
+    if baseline.quick != record.quick {
         return skip(format!(
-            "baseline quick={:?} does not match this run (quick={})",
-            parse_quick_flag(text),
-            record.quick
+            "baseline quick={} does not match this run (quick={})",
+            baseline.quick, record.quick
         ));
     }
-    let baseline = parse_recorded_targets(text);
-    if baseline.is_empty() {
-        return skip("BENCH_baseline.json has no parsable targets".to_string());
+    if baseline.targets.is_empty() {
+        return skip("BENCH_baseline.json has no targets".to_string());
     }
     println!("\n[regression gate] comparing against BENCH_baseline.json ({} at > {REGRESSION_FACTOR}x + {REGRESSION_SLACK_MS} ms):", if strict { "fail" } else { "warn" });
     let mut regressed = 0usize;
     for t in &record.targets {
-        let Some(&(_, base_ms)) = baseline.iter().find(|(name, _)| name == t.target) else {
+        let Some(base_ms) = baseline
+            .targets
+            .iter()
+            .find(|b| b.target == t.target)
+            .map(|b| b.wall_ms)
+        else {
             if strict {
                 // CI gates every target: a new target without a baseline
                 // entry must fail loudly, not stay silently ungated forever.
@@ -1004,17 +991,28 @@ mod tests {
     }
 
     #[test]
-    fn baseline_parsers_extract_quick_flag_and_targets() {
+    fn baseline_reader_extracts_quick_flag_and_targets() {
         let json = r#"{"quick": true, "targets": [
             {"target": "table1", "wall_ms": 10.0},
             {"target": "sweep", "wall_ms": 20.0}
         ]}"#;
-        assert_eq!(parse_quick_flag(json), Some(true));
-        let parsed = parse_recorded_targets(json);
-        assert_eq!(
-            parsed,
-            vec![("table1".to_string(), 10.0), ("sweep".to_string(), 20.0)]
-        );
+        let parsed: RecordedBench = serde_json::from_str(json).unwrap();
+        assert!(parsed.quick);
+        let targets: Vec<(&str, f64)> = parsed
+            .targets
+            .iter()
+            .map(|t| (t.target.as_str(), t.wall_ms))
+            .collect();
+        assert_eq!(targets, vec![("table1", 10.0), ("sweep", 20.0)]);
+        // The committed baseline, with its extra keys, reads as it is.
+        let committed: RecordedBench =
+            serde_json::from_str(include_str!("../../../../BENCH_baseline.json")).unwrap();
+        assert!(committed.quick);
+        assert!(committed.targets.iter().any(|t| t.target == "sweep"));
+        // Text that is not a bench record takes the "cannot compare" path.
+        let rec = record(vec![("table1", 1.0)]);
+        assert_eq!(gate_regressions(&rec, Some("not json"), false), 0);
+        assert_eq!(gate_regressions(&rec, Some("not json"), true), 1);
     }
 
     fn record(targets: Vec<(&'static str, f64)>) -> BenchRecord {

@@ -149,31 +149,21 @@ impl GraphFamily {
         }
     }
 
-    /// Builds an instance with approximately `n_target` nodes through the
-    /// parallel streaming generators ([`hybrid_graph::streaming`]).
+    /// Builds an instance with approximately `n_target` nodes, drawing the
+    /// random families from the parallel streaming generators
+    /// ([`hybrid_graph::streaming`]).
     ///
-    /// The parameter mapping (side lengths, densities, clique sizes) is
-    /// identical to [`Self::build`], so the deterministic families produce
-    /// bit-identical graphs; the random families draw from the streaming
-    /// module's canonical per-chunk streams instead of the legacy sequential
-    /// ones (documented there), which is what makes them feasible at
-    /// `n = 10⁶`.  The small-`n` experiments keep using [`Self::build`] so
-    /// their recorded artifacts are unchanged.
+    /// The parameter mapping (densities, radii) is identical to
+    /// [`Self::build`], and the deterministic families have one generator, so
+    /// they are delegated to it.  The random families draw from the streaming
+    /// module's canonical per-chunk streams instead of the sequential ones
+    /// (documented there), which is what makes them feasible at `n = 10⁶`.
+    /// The small-`n` experiments keep using [`Self::build`] so their recorded
+    /// artifacts are unchanged.
     pub fn build_streamed(&self, n_target: usize, seed: u64) -> Graph {
         use hybrid_graph::streaming;
         let n = n_target.max(8);
         match self {
-            GraphFamily::Path => streaming::path(n).expect("path"),
-            GraphFamily::Cycle => streaming::cycle(n).expect("cycle"),
-            GraphFamily::Grid2D => {
-                let side = (n as f64).sqrt().round().max(2.0) as usize;
-                streaming::grid(&[side, side]).expect("grid")
-            }
-            GraphFamily::Grid3D => {
-                let side = (n as f64).cbrt().round().max(2.0) as usize;
-                streaming::grid(&[side, side, side]).expect("grid3")
-            }
-            GraphFamily::BinaryTree => streaming::tree_with_n(2, n).expect("tree"),
             GraphFamily::ErdosRenyi => {
                 let p = 6.0 / n as f64;
                 streaming::erdos_renyi(n, p.min(1.0), seed).expect("er")
@@ -182,19 +172,8 @@ impl GraphFamily {
                 let radius = (8.0 / n as f64).sqrt().min(0.9);
                 streaming::random_geometric(n, radius, seed).expect("rgg")
             }
-            GraphFamily::FatTree => {
-                let hosts = (n.saturating_sub(12)).max(8) / 8;
-                streaming::fat_tree(4, 8, hosts.max(1)).expect("fat-tree")
-            }
             GraphFamily::ChungLu => streaming::chung_lu(n, 2.5, 6.0, seed).expect("chung-lu"),
-            GraphFamily::RingOfCliques => {
-                let cliques = (n / 8).max(3);
-                streaming::ring_of_cliques(cliques, 8, 2).expect("ring-of-cliques")
-            }
-            GraphFamily::Barbell => {
-                let clique = (3 * n / 8).max(2);
-                streaming::barbell(clique, n.saturating_sub(2 * clique)).expect("barbell")
-            }
+            _ => self.build(n_target, seed),
         }
     }
 

@@ -7,42 +7,20 @@
 //! realistic topologies for the example applications (data-center fat trees,
 //! random geometric "wireless" graphs, Erdős–Rényi graphs).
 //!
-//! All randomized generators take an explicit [`Rng`] and are fully
-//! deterministic given a seed.
+//! The deterministic families path, cycle, grid, `tree_with_n`, fat-tree,
+//! ring-of-cliques and barbell are defined once, in [`crate::streaming`], and
+//! re-exported here.  All randomized generators take an explicit [`Rng`] and
+//! are fully deterministic given a seed.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::builder::validate_counts;
 use crate::csr::{Graph, NodeId, Weight};
 use crate::error::GraphError;
 use crate::{GraphBuilder, Result};
 
-/// Path graph `P_n` on `n` nodes.  `NQ_k ∈ Θ(min(√k, D))` (Theorem 15).
-pub fn path(n: usize) -> Result<Graph> {
-    if n == 0 {
-        return Err(GraphError::Empty);
-    }
-    let mut b = GraphBuilder::new(n);
-    for v in 1..n {
-        b.add_unweighted_edge((v - 1) as NodeId, v as NodeId)?;
-    }
-    b.build()
-}
-
-/// Cycle graph `C_n` on `n >= 3` nodes.
-pub fn cycle(n: usize) -> Result<Graph> {
-    if n < 3 {
-        return Err(GraphError::InvalidParameter {
-            reason: format!("cycle requires n >= 3, got {n}"),
-        });
-    }
-    let mut b = GraphBuilder::new(n);
-    for v in 1..n {
-        b.add_unweighted_edge((v - 1) as NodeId, v as NodeId)?;
-    }
-    b.add_unweighted_edge((n - 1) as NodeId, 0)?;
-    b.build()
-}
+pub use crate::streaming::{barbell, cycle, fat_tree, grid, path, ring_of_cliques, tree_with_n};
 
 /// Complete graph `K_n`.
 pub fn complete(n: usize) -> Result<Graph> {
@@ -63,6 +41,7 @@ pub fn star(n: usize) -> Result<Graph> {
     if n == 0 {
         return Err(GraphError::Empty);
     }
+    validate_counts(n, n - 1)?;
     let mut b = GraphBuilder::new(n);
     for v in 1..n {
         b.add_unweighted_edge(0, v as NodeId)?;
@@ -70,36 +49,22 @@ pub fn star(n: usize) -> Result<Graph> {
     b.build()
 }
 
-/// `d`-dimensional grid graph with side lengths `dims` (Definition 3.9 uses
-/// equal sides; arbitrary sides are supported).  `NQ_k ∈ Θ(min(k^{1/(d+1)}, D))`
-/// for constant `d` (Theorem 16).
-pub fn grid(dims: &[usize]) -> Result<Graph> {
-    lattice(dims, false)
-}
-
 /// `d`-dimensional torus (grid with wrap-around edges).
 pub fn torus(dims: &[usize]) -> Result<Graph> {
-    lattice(dims, true)
-}
-
-fn lattice(dims: &[usize], wrap: bool) -> Result<Graph> {
-    if dims.is_empty() || dims.contains(&0) {
+    if dims.is_empty() || dims.iter().any(|&d| d < 3) {
         return Err(GraphError::InvalidParameter {
-            reason: "grid dimensions must be non-empty and positive".into(),
+            reason: "torus dimensions must be non-empty and each >= 3".into(),
         });
     }
-    if wrap && dims.iter().any(|&d| d < 3) {
-        return Err(GraphError::InvalidParameter {
-            reason: "torus requires every dimension >= 3".into(),
-        });
-    }
-    let n: usize = dims.iter().product();
+    let n = dims
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .unwrap_or(usize::MAX);
+    validate_counts(n, 0)?;
     let mut strides = vec![1usize; dims.len()];
     for i in 1..dims.len() {
         strides[i] = strides[i - 1] * dims[i - 1];
     }
-    let index =
-        |coords: &[usize]| -> usize { coords.iter().zip(&strides).map(|(c, s)| c * s).sum() };
     let mut b = GraphBuilder::new(n);
     let mut coords = vec![0usize; dims.len()];
     for flat in 0..n {
@@ -110,15 +75,13 @@ fn lattice(dims: &[usize], wrap: bool) -> Result<Graph> {
             rest /= d;
         }
         for (axis, &d) in dims.iter().enumerate() {
-            if coords[axis] + 1 < d {
-                let mut nb = coords.clone();
-                nb[axis] += 1;
-                b.add_unweighted_edge(flat as NodeId, index(&nb) as NodeId)?;
-            } else if wrap && d >= 3 {
-                let mut nb = coords.clone();
-                nb[axis] = 0;
-                b.add_unweighted_edge(flat as NodeId, index(&nb) as NodeId)?;
-            }
+            // The last coordinate of an axis wraps around to 0.
+            let nb = if coords[axis] + 1 < d {
+                flat + strides[axis]
+            } else {
+                flat - coords[axis] * strides[axis]
+            };
+            b.add_unweighted_edge(flat as NodeId, nb as NodeId)?;
         }
     }
     b.build()
@@ -143,29 +106,6 @@ pub fn tree_balanced(arity: usize, depth: usize) -> Result<Graph> {
         n = n.saturating_add(level);
     }
     tree_with_n(arity, n)
-}
-
-/// Truncated complete `arity`-ary tree with **exactly** `n` nodes: the tree
-/// is filled level by level in BFS (heap) numbering — node `v`'s children are
-/// `arity·v + 1 ..= arity·v + arity` — and simply stops at `n`, so every
-/// level except possibly the last is full.  This keeps the depth at
-/// `⌈log_arity n⌉` without the up-to-`arity ×` size overshoot of
-/// [`tree_balanced`].
-pub fn tree_with_n(arity: usize, n: usize) -> Result<Graph> {
-    if arity == 0 {
-        return Err(GraphError::InvalidParameter {
-            reason: "tree arity must be positive".into(),
-        });
-    }
-    if n == 0 {
-        return Err(GraphError::Empty);
-    }
-    let mut b = GraphBuilder::new(n);
-    // Parent of node v (BFS numbering): (v - 1) / arity.
-    for v in 1..n {
-        b.add_unweighted_edge(((v - 1) / arity) as NodeId, v as NodeId)?;
-    }
-    b.build()
 }
 
 /// Caterpillar graph: a spine path of `spine` nodes, each with `legs` pendant
@@ -299,32 +239,6 @@ pub fn random_geometric(n: usize, radius: f64, rng: &mut impl Rng) -> Result<Gra
     b.build()
 }
 
-/// A simplified two-level fat-tree / leaf–spine data-center topology:
-/// `spines` spine switches, `leaves` leaf switches (each connected to every
-/// spine) and `hosts_per_leaf` hosts per leaf.  Small diameter, highly
-/// non-uniform neighbourhood growth — the regime where universal optimality
-/// pays off most.
-pub fn fat_tree(spines: usize, leaves: usize, hosts_per_leaf: usize) -> Result<Graph> {
-    if spines == 0 || leaves == 0 {
-        return Err(GraphError::InvalidParameter {
-            reason: "fat_tree requires at least one spine and one leaf".into(),
-        });
-    }
-    let n = spines + leaves + leaves * hosts_per_leaf;
-    let mut b = GraphBuilder::new(n);
-    for l in 0..leaves {
-        let leaf = spines + l;
-        for s in 0..spines {
-            b.add_unweighted_edge(s as NodeId, leaf as NodeId)?;
-        }
-        for h in 0..hosts_per_leaf {
-            let host = spines + leaves + l * hosts_per_leaf + h;
-            b.add_unweighted_edge(leaf as NodeId, host as NodeId)?;
-        }
-    }
-    b.build()
-}
-
 /// Chung–Lu random graph with a power-law expected-degree sequence: node `i`
 /// gets weight `w_i ∝ (i + 1)^{-1/(exponent - 1)}`, scaled so the average
 /// expected degree is `avg_degree`, and each pair `{u, v}` is joined
@@ -384,75 +298,6 @@ pub fn chung_lu(n: usize, exponent: f64, avg_degree: f64, rng: &mut impl Rng) ->
             }
         }
     }
-    b.build()
-}
-
-/// Ring of cliques: `cliques` cliques of `clique_size` nodes arranged in a
-/// cycle, each adjacent pair joined by `bridges` parallel-free edges (bridge
-/// `i` connects node `i` of one clique to node `i` of the next).  A clustered
-/// small-world family with a tunable cut: locally dense (`NQ_k` small inside
-/// a clique) but globally cycle-like, so dissemination must cross `bridges`
-/// edges per cut — stressing the interplay of local flooding and the global
-/// scheduler.  `bridges` must be at most `clique_size`.
-pub fn ring_of_cliques(cliques: usize, clique_size: usize, bridges: usize) -> Result<Graph> {
-    if cliques < 3 {
-        return Err(GraphError::InvalidParameter {
-            reason: format!("ring_of_cliques requires >= 3 cliques, got {cliques}"),
-        });
-    }
-    if clique_size == 0 {
-        return Err(GraphError::Empty);
-    }
-    if bridges == 0 || bridges > clique_size {
-        return Err(GraphError::InvalidParameter {
-            reason: format!(
-                "ring_of_cliques requires 1 <= bridges <= clique_size, got {bridges} bridges for clique size {clique_size}"
-            ),
-        });
-    }
-    let n = cliques * clique_size;
-    let mut b = GraphBuilder::new(n);
-    for c in 0..cliques {
-        let base = c * clique_size;
-        for u in 0..clique_size {
-            for v in (u + 1)..clique_size {
-                b.add_unweighted_edge((base + u) as NodeId, (base + v) as NodeId)?;
-            }
-        }
-        let next_base = ((c + 1) % cliques) * clique_size;
-        for i in 0..bridges {
-            b.add_unweighted_edge((base + i) as NodeId, (next_base + i) as NodeId)?;
-        }
-    }
-    b.build()
-}
-
-/// Barbell graph: two cliques of `clique` nodes joined by a path of
-/// `path_len` intermediate nodes.  The archetypal bottleneck topology — all
-/// clique-to-clique traffic funnels through one path — which stresses the
-/// γ-capacitated global scheduler exactly where the paper's universal lower
-/// bound (the node communication problem across the narrow cut) is tight.
-pub fn barbell(clique: usize, path_len: usize) -> Result<Graph> {
-    if clique == 0 {
-        return Err(GraphError::Empty);
-    }
-    let n = 2 * clique + path_len;
-    let mut b = GraphBuilder::new(n);
-    // Clique A: nodes [0, clique); path: [clique, clique + path_len);
-    // clique B: [clique + path_len, n).
-    for base in [0, clique + path_len] {
-        for u in 0..clique {
-            for v in (u + 1)..clique {
-                b.add_unweighted_edge((base + u) as NodeId, (base + v) as NodeId)?;
-            }
-        }
-    }
-    let mut prev = clique - 1; // last node of clique A
-    for p in 0..path_len {
-        b.add_unweighted_edge(prev as NodeId, (clique + p) as NodeId)?;
-        prev = clique + p;
-    }
-    b.add_unweighted_edge(prev as NodeId, (clique + path_len) as NodeId)?;
     b.build()
 }
 
@@ -540,6 +385,10 @@ mod tests {
         }
         assert!(diameter(&t) <= diameter(&grid(&[4, 4]).unwrap()));
         assert!(torus(&[2, 4]).is_err());
+        assert_eq!(
+            torus(&[70_000, 70_000]).unwrap_err(),
+            GraphError::TooManyNodes { n: 4_900_000_000 }
+        );
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Chunk-parallel streaming generators for the large-`n` scale tier.
+//! Chunk-parallel streaming generators: the one implementation of every
+//! deterministic graph family, plus the large-`n` random families.
 //!
-//! The legacy [`crate::generators`] build every family through a sequential
-//! `add_edge` loop with per-edge `HashSet` deduplication, and the three random
-//! families draw from one interleaved RNG stream over all `Θ(n²)` node pairs —
-//! both walls at `n ∈ {10⁵, 10⁶}`.  This module re-implements all sweep
-//! families as **streaming** generators: edges are emitted into fixed-size
-//! index chunks in parallel (rayon), stitched in chunk order, and assembled
-//! through the pre-sized [`GraphBuilder`] fast path with no per-edge hashing.
+//! Edges are emitted into fixed-size index chunks in parallel (rayon),
+//! stitched in chunk order, and assembled through the pre-sized
+//! [`GraphBuilder`] fast path with no per-edge hashing.  Every generator
+//! checks its node and edge counts against the `u32` CSR id space before it
+//! emits anything.
 //!
 //! # Determinism contract
 //!
@@ -15,18 +14,18 @@
 //!   order — so every generator here is bit-identical across
 //!   `RAYON_NUM_THREADS` and across repeated runs with the same seed.
 //! * The **deterministic** families (path, cycle, grids, trees, fat-tree,
-//!   ring-of-cliques, barbell) emit edges in exactly the legacy order, so
-//!   their output is bit-identical to [`crate::generators`] at every size —
-//!   pinned by the tests below.
-//! * The **random** families (Erdős–Rényi, random-geometric, Chung–Lu)
-//!   *cannot* reproduce the legacy streams without re-scanning all `Θ(n²)`
-//!   pairs, so they define a new canonical stream: every chunk seeds its own
-//!   `ChaCha8` from a SplitMix64-mixed `(seed, salt, chunk index)` triple and
-//!   draws independently of all other chunks.  Small-`n` experiments keep
-//!   calling the legacy generators, which is why the recorded small-`n`
-//!   artifacts are unchanged by this module.
+//!   ring-of-cliques, barbell) are defined only here; [`crate::generators`]
+//!   re-exports them, so small-`n` experiments and the scale tier build the
+//!   same graphs.
+//! * The **random** families (Erdős–Rényi, random-geometric, Chung–Lu) keep
+//!   two streams.  The sequential ones in [`crate::generators`] draw from one
+//!   `Rng` over all `Θ(n²)` pairs and feed every recorded small-`n` artifact.
+//!   The ones here define a different canonical stream: every chunk seeds its
+//!   own `ChaCha8` from a SplitMix64-mixed `(seed, salt, chunk index)` triple
+//!   and draws independently of all other chunks, so the same seed gives a
+//!   different graph than the sequential generator.
 //!
-//! The random families replace the legacy all-pairs Bernoulli scans with
+//! The random families replace the all-pairs Bernoulli scans with
 //! sub-quadratic samplers: geometric skip sampling for `G(n, p)`, the
 //! Miller–Hagberg weight-skipping walk for Chung–Lu, and radius-cell
 //! bucketing for the random geometric graph.
@@ -35,6 +34,7 @@ use rand::{Rng, RngCore, SeedableRng, SplitMix64};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
+use crate::builder::validate_counts;
 use crate::csr::{Graph, NodeId, Weight};
 use crate::error::GraphError;
 use crate::unionfind::UnionFind;
@@ -62,16 +62,19 @@ fn emit_chunked(
     emit: impl Fn(usize, std::ops::Range<usize>, &mut Vec<Edge>) + Sync,
 ) -> Vec<Vec<Edge>> {
     let chunks = total.div_ceil(CHUNK);
-    (0..chunks)
-        .into_par_iter()
-        .map(|c| {
-            let lo = c * CHUNK;
-            let hi = (lo + CHUNK).min(total);
-            let mut out = Vec::new();
-            emit(c, lo..hi, &mut out);
-            out
-        })
-        .collect()
+    let run = |c: usize| {
+        let lo = c * CHUNK;
+        let hi = (lo + CHUNK).min(total);
+        let mut out = Vec::new();
+        emit(c, lo..hi, &mut out);
+        out
+    };
+    // A single chunk runs inline: waking the pool would cost more than the
+    // small graphs most experiments build.
+    if chunks <= 1 {
+        return (0..chunks).map(run).collect();
+    }
+    (0..chunks).into_par_iter().map(run).collect()
 }
 
 /// Stitches chunked edge sections into a pre-sized builder (exact edge count,
@@ -87,11 +90,25 @@ fn assemble(n: usize, sections: Vec<Vec<Edge>>) -> Result<Graph> {
     b.build()
 }
 
-/// Streaming path graph `P_n`; bit-identical to [`crate::generators::path`].
+/// Rejects a graph the `u32` CSR id space cannot hold *before* a generator
+/// emits any edge, so an oversized request fails fast instead of
+/// materialising `Θ(n)` edges first.  `n` is `None` when the node count
+/// overflowed `usize`; `edges` maps a node count that fits `u32` to the edge
+/// count (at most `n²/2`, so it cannot overflow a 64-bit `usize`).  Returns
+/// the node count.
+fn checked_size(n: Option<usize>, edges: impl FnOnce(usize) -> usize) -> Result<usize> {
+    let n = n.unwrap_or(usize::MAX);
+    validate_counts(n, 0)?;
+    validate_counts(n, edges(n))?;
+    Ok(n)
+}
+
+/// Path graph `P_n` on `n` nodes.  `NQ_k ∈ Θ(min(√k, D))` (Theorem 15).
 pub fn path(n: usize) -> Result<Graph> {
     if n == 0 {
         return Err(GraphError::Empty);
     }
+    checked_size(Some(n), |n| n - 1)?;
     assemble(
         n,
         emit_chunked(n - 1, |_, range, out| {
@@ -102,13 +119,14 @@ pub fn path(n: usize) -> Result<Graph> {
     )
 }
 
-/// Streaming cycle `C_n`; bit-identical to [`crate::generators::cycle`].
+/// Cycle graph `C_n` on `n >= 3` nodes.
 pub fn cycle(n: usize) -> Result<Graph> {
     if n < 3 {
         return Err(GraphError::InvalidParameter {
             reason: format!("cycle requires n >= 3, got {n}"),
         });
     }
+    checked_size(Some(n), |n| n)?;
     assemble(
         n,
         emit_chunked(n, |_, range, out| {
@@ -123,14 +141,20 @@ pub fn cycle(n: usize) -> Result<Graph> {
     )
 }
 
-/// Streaming `d`-dimensional grid; bit-identical to [`crate::generators::grid`].
+/// `d`-dimensional grid graph with side lengths `dims` (Definition 3.9 uses
+/// equal sides; arbitrary sides are supported).  `NQ_k ∈ Θ(min(k^{1/(d+1)}, D))`
+/// for constant `d` (Theorem 16).
 pub fn grid(dims: &[usize]) -> Result<Graph> {
     if dims.is_empty() || dims.contains(&0) {
         return Err(GraphError::InvalidParameter {
             reason: "grid dimensions must be non-empty and positive".into(),
         });
     }
-    let n: usize = dims.iter().product();
+    // Axis `i` contributes `(dᵢ − 1) · n / dᵢ` edges.
+    let n = checked_size(
+        dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)),
+        |n| dims.iter().map(|&d| (d - 1) * (n / d)).sum(),
+    )?;
     let mut strides = vec![1usize; dims.len()];
     for i in 1..dims.len() {
         strides[i] = strides[i - 1] * dims[i - 1];
@@ -155,8 +179,12 @@ pub fn grid(dims: &[usize]) -> Result<Graph> {
     )
 }
 
-/// Streaming truncated `arity`-ary tree with exactly `n` nodes; bit-identical
-/// to [`crate::generators::tree_with_n`].
+/// Truncated complete `arity`-ary tree with **exactly** `n` nodes: the tree
+/// is filled level by level in BFS (heap) numbering — node `v`'s children are
+/// `arity·v + 1 ..= arity·v + arity` — and simply stops at `n`, so every
+/// level except possibly the last is full.  This keeps the depth at
+/// `⌈log_arity n⌉` without the up-to-`arity ×` size overshoot of
+/// [`crate::generators::tree_balanced`].
 pub fn tree_with_n(arity: usize, n: usize) -> Result<Graph> {
     if arity == 0 {
         return Err(GraphError::InvalidParameter {
@@ -166,10 +194,12 @@ pub fn tree_with_n(arity: usize, n: usize) -> Result<Graph> {
     if n == 0 {
         return Err(GraphError::Empty);
     }
+    checked_size(Some(n), |n| n - 1)?;
     assemble(
         n,
         emit_chunked(n - 1, |_, range, out| {
             for i in range {
+                // Parent of node v (BFS numbering): (v - 1) / arity.
                 let v = i + 1;
                 out.push((((v - 1) / arity) as NodeId, v as NodeId, 1));
             }
@@ -177,15 +207,23 @@ pub fn tree_with_n(arity: usize, n: usize) -> Result<Graph> {
     )
 }
 
-/// Streaming leaf–spine fat tree; bit-identical to
-/// [`crate::generators::fat_tree`].
+/// A simplified two-level fat-tree / leaf–spine data-center topology:
+/// `spines` spine switches, `leaves` leaf switches (each connected to every
+/// spine) and `hosts_per_leaf` hosts per leaf.  Small diameter, highly
+/// non-uniform neighbourhood growth — the regime where universal optimality
+/// pays off most.
 pub fn fat_tree(spines: usize, leaves: usize, hosts_per_leaf: usize) -> Result<Graph> {
     if spines == 0 || leaves == 0 {
         return Err(GraphError::InvalidParameter {
             reason: "fat_tree requires at least one spine and one leaf".into(),
         });
     }
-    let n = spines + leaves + leaves * hosts_per_leaf;
+    let n = checked_size(
+        leaves
+            .checked_mul(hosts_per_leaf)
+            .and_then(|hosts| hosts.checked_add(spines.checked_add(leaves)?)),
+        |_| leaves * (spines + hosts_per_leaf),
+    )?;
     assemble(
         n,
         emit_chunked(leaves, |_, range, out| {
@@ -203,8 +241,13 @@ pub fn fat_tree(spines: usize, leaves: usize, hosts_per_leaf: usize) -> Result<G
     )
 }
 
-/// Streaming ring of cliques; bit-identical to
-/// [`crate::generators::ring_of_cliques`].
+/// Ring of cliques: `cliques` cliques of `clique_size` nodes arranged in a
+/// cycle, each adjacent pair joined by `bridges` parallel-free edges (bridge
+/// `i` connects node `i` of one clique to node `i` of the next).  A clustered
+/// small-world family with a tunable cut: locally dense (`NQ_k` small inside
+/// a clique) but globally cycle-like, so dissemination must cross `bridges`
+/// edges per cut — stressing the interplay of local flooding and the global
+/// scheduler.  `bridges` must be at most `clique_size`.
 pub fn ring_of_cliques(cliques: usize, clique_size: usize, bridges: usize) -> Result<Graph> {
     if cliques < 3 {
         return Err(GraphError::InvalidParameter {
@@ -221,7 +264,9 @@ pub fn ring_of_cliques(cliques: usize, clique_size: usize, bridges: usize) -> Re
             ),
         });
     }
-    let n = cliques * clique_size;
+    let n = checked_size(cliques.checked_mul(clique_size), |n| {
+        n * (clique_size - 1) / 2 + cliques * bridges
+    })?;
     assemble(
         n,
         emit_chunked(cliques, |_, range, out| {
@@ -242,12 +287,23 @@ pub fn ring_of_cliques(cliques: usize, clique_size: usize, bridges: usize) -> Re
     )
 }
 
-/// Streaming barbell graph; bit-identical to [`crate::generators::barbell`].
+/// Barbell graph: two cliques of `clique` nodes joined by a path of
+/// `path_len` intermediate nodes.  The archetypal bottleneck topology — all
+/// clique-to-clique traffic funnels through one path — which stresses the
+/// γ-capacitated global scheduler exactly where the paper's universal lower
+/// bound (the node communication problem across the narrow cut) is tight.
 pub fn barbell(clique: usize, path_len: usize) -> Result<Graph> {
     if clique == 0 {
         return Err(GraphError::Empty);
     }
-    let n = 2 * clique + path_len;
+    let n = checked_size(
+        clique
+            .checked_mul(2)
+            .and_then(|cliques| cliques.checked_add(path_len)),
+        |_| clique * (clique - 1) + path_len + 1,
+    )?;
+    // Clique A: nodes [0, clique); path: [clique, clique + path_len);
+    // clique B: [clique + path_len, n).
     let clique_rows = |base: usize| {
         emit_chunked(clique, move |_, range, out| {
             for u in range {
@@ -291,6 +347,7 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Result<Graph> {
             reason: format!("edge probability must be in [0,1], got {p}"),
         });
     }
+    checked_size(Some(n), |_| 0)?;
     // Salt 0: backbone parents, parent(v) uniform in 0..v for v in 1..n.
     let parent_chunks: Vec<Vec<NodeId>> = (0..n.saturating_sub(1).div_ceil(CHUNK).max(1))
         .into_par_iter()
@@ -350,8 +407,8 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Result<Graph> {
 /// cell grid of side `>= radius` — each node only compares against the 9
 /// neighbouring cells, so the expected work is `O(n + m)` instead of `Θ(n²)`.
 /// Stray components are stitched to their nearest foreign node (expanding
-/// cell-ring search, smallest index on distance ties), mimicking the legacy
-/// relay semantics deterministically.
+/// cell-ring search, smallest index on distance ties), mimicking the sequential
+/// generator's relay semantics deterministically.
 pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Result<Graph> {
     if n == 0 {
         return Err(GraphError::Empty);
@@ -361,6 +418,7 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Result<Graph> {
             reason: "radius must be positive".into(),
         });
     }
+    checked_size(Some(n), |_| 0)?;
     // Salt 0: points, drawn (x, y) per node in chunk order.
     let point_chunks: Vec<Vec<(f64, f64)>> = (0..n.div_ceil(CHUNK))
         .into_par_iter()
@@ -524,6 +582,7 @@ pub fn chung_lu(n: usize, exponent: f64, avg_degree: f64, seed: u64) -> Result<G
             reason: format!("chung_lu requires a positive average degree, got {avg_degree}"),
         });
     }
+    checked_size(Some(n), |_| 0)?;
     let alpha = 1.0 / (exponent - 1.0);
     let raw: Vec<f64> = (0..n).map(|i| ((i + 1) as f64).powf(-alpha)).collect();
     let raw_sum: f64 = raw.iter().sum();
@@ -561,7 +620,7 @@ pub fn chung_lu(n: usize, exponent: f64, avg_degree: f64, seed: u64) -> Result<G
     };
 
     // Attach every stray component to the hub (node 0) through its
-    // lowest-index node — the same rule as the legacy generator.
+    // lowest-index node — the same rule as the sequential generator.
     if n > 1 {
         let mut uf = UnionFind::new(n);
         for chunk in &sections {
@@ -606,43 +665,12 @@ pub fn with_random_weights(graph: &Graph, max_weight: Weight, seed: u64) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::builder::{MAX_EDGES, MAX_NODES};
     use crate::traversal::connected_components;
 
     fn assert_same(a: &Graph, b: &Graph) {
         assert_eq!(a.n(), b.n());
         assert_eq!(a.edges(), b.edges());
-    }
-
-    #[test]
-    fn deterministic_families_match_legacy_bit_for_bit() {
-        for n in [1usize, 2, 3, 17, 64, 1000, 40_000] {
-            assert_same(&path(n).unwrap(), &generators::path(n).unwrap());
-            if n >= 3 {
-                assert_same(&cycle(n).unwrap(), &generators::cycle(n).unwrap());
-            }
-            assert_same(
-                &tree_with_n(2, n).unwrap(),
-                &generators::tree_with_n(2, n).unwrap(),
-            );
-        }
-        for dims in [vec![7, 9], vec![40, 40], vec![5, 6, 7], vec![13, 13, 13]] {
-            assert_same(&grid(&dims).unwrap(), &generators::grid(&dims).unwrap());
-        }
-        assert_same(
-            &fat_tree(4, 8, 123).unwrap(),
-            &generators::fat_tree(4, 8, 123).unwrap(),
-        );
-        assert_same(
-            &ring_of_cliques(300, 8, 2).unwrap(),
-            &generators::ring_of_cliques(300, 8, 2).unwrap(),
-        );
-        for (clique, tail) in [(1, 0), (4, 0), (5, 3), (300, 500)] {
-            assert_same(
-                &barbell(clique, tail).unwrap(),
-                &generators::barbell(clique, tail).unwrap(),
-            );
-        }
     }
 
     #[test]
@@ -713,7 +741,7 @@ mod tests {
     }
 
     #[test]
-    fn validation_errors_match_legacy() {
+    fn invalid_parameters_are_rejected() {
         assert!(path(0).is_err());
         assert!(cycle(2).is_err());
         assert!(grid(&[]).is_err());
@@ -729,5 +757,41 @@ mod tests {
         assert!(random_geometric(10, 0.0, 0).is_err());
         assert!(chung_lu(10, 1.0, 6.0, 0).is_err());
         assert!(chung_lu(10, 2.5, 0.0, 0).is_err());
+    }
+
+    #[test]
+    fn oversized_requests_fail_before_emitting() {
+        // Each request would need gigabytes of edges if it were emitted
+        // before the size check.
+        assert_eq!(
+            grid(&[70_000, 70_000]).unwrap_err(),
+            GraphError::TooManyNodes { n: 4_900_000_000 }
+        );
+        assert_eq!(
+            grid(&[1 << 32, 1 << 32, 2]).unwrap_err(),
+            GraphError::TooManyNodes { n: usize::MAX }
+        );
+        assert_eq!(
+            path(MAX_NODES + 1).unwrap_err(),
+            GraphError::TooManyNodes { n: MAX_NODES + 1 }
+        );
+        assert_eq!(
+            fat_tree(4, usize::MAX, 2).unwrap_err(),
+            GraphError::TooManyNodes { n: usize::MAX }
+        );
+        assert_eq!(
+            barbell(usize::MAX / 2 + 1, 0).unwrap_err(),
+            GraphError::TooManyNodes { n: usize::MAX }
+        );
+        // 300k nodes fit, but 3 · C(100 000, 2) edges do not.
+        let err = ring_of_cliques(3, 100_000, 1).unwrap_err();
+        assert!(
+            matches!(err, GraphError::TooManyArcs { arcs } if arcs > 2 * MAX_EDGES),
+            "{err:?}"
+        );
+        assert!(matches!(
+            erdos_renyi(MAX_NODES + 1, 0.0, 0),
+            Err(GraphError::TooManyNodes { .. })
+        ));
     }
 }

@@ -13,6 +13,11 @@
 //! count, per-round ordered delivered-message traces, final states); any
 //! divergence is a non-zero exit.  Timing is printed as telemetry only —
 //! never asserted on.
+//!
+//! CLI errors — an unknown flag, a malformed value, or a graph spec its
+//! generator rejects (`--family path --n 0`, `grid-0x5`, an oversized grid)
+//! — exit with code 2 and the usage line before any node process is
+//! spawned; a failed run exits with code 1.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -21,6 +26,10 @@ use std::time::Instant;
 use hybrid_node::driver::{conformance_diff, run_scenario, Transport};
 use hybrid_node::scenario::{run_in_process, GraphSpec, ProgramSpec, Scenario, TokensAt};
 use hybrid_sim::{EngineConfig, ModelParams};
+
+const USAGE: &str = "usage: hybrid-driver [--family path|cycle|star|grid-RxC] [--n N] \
+[--program flood|ack-flood|det-forward|bfs|gossip] [--tokens K] [--gamma G] [--seed S] \
+[--max-rounds R] [--transport tcp|stdio] [--node-bin PATH] [--conformance]";
 
 struct Args {
     family: String,
@@ -102,7 +111,7 @@ fn tokens_spread(k: u64, n: usize) -> TokensAt {
     (0..k).map(|t| ((t % n as u64) as u32, vec![t])).collect()
 }
 
-fn build_program(args: &Args) -> Result<ProgramSpec, String> {
+fn build_program(args: &Args, n: usize) -> Result<ProgramSpec, String> {
     let k = args.tokens;
     match args.program.as_str() {
         "flood" => Ok(ProgramSpec::Flood {
@@ -120,7 +129,7 @@ fn build_program(args: &Args) -> Result<ProgramSpec, String> {
         }),
         "bfs" => Ok(ProgramSpec::Bfs { source: 0 }),
         "gossip" => Ok(ProgramSpec::Gossip {
-            tokens_at: tokens_spread(k, args.n),
+            tokens_at: tokens_spread(k, n),
             target_tokens: k as usize,
         }),
         other => Err(format!(
@@ -137,11 +146,14 @@ fn default_node_bin() -> Result<PathBuf, String> {
     Ok(dir.join("hybrid-node"))
 }
 
-fn run() -> Result<(), String> {
+/// Parses the command line into a scenario.  Every error here is a CLI
+/// error (exit 2 with the usage line); a degenerate graph spec is caught
+/// before any node process exists.
+fn configure() -> Result<(Args, Scenario), String> {
     let args = Args::parse()?;
     let graph = GraphSpec::parse(&args.family, args.n)?;
     let n = graph.n();
-    let program = build_program(&args)?;
+    let program = build_program(&args, n)?;
     let params = match args.gamma {
         Some(gamma) => ModelParams::hybrid_with_global_capacity(n, gamma),
         None => ModelParams::hybrid(n),
@@ -150,7 +162,12 @@ fn run() -> Result<(), String> {
         .with_seed(args.seed)
         .with_max_rounds(args.max_rounds)
         .with_trace(true);
-    let scenario = Scenario::new(graph, program).with_config(config);
+    Ok((args, Scenario::new(graph, program).with_config(config)))
+}
+
+fn run(args: &Args, scenario: &Scenario) -> Result<(), String> {
+    let n = scenario.graph.n();
+    let params = scenario.config.params();
     let node_bin = match &args.node_bin {
         Some(path) => path.clone(),
         None => default_node_bin()?,
@@ -165,7 +182,7 @@ fn run() -> Result<(), String> {
         args.transport,
     );
     let started = Instant::now();
-    let net = run_scenario(&scenario, args.transport, &node_bin)
+    let net = run_scenario(scenario, args.transport, &node_bin)
         .map_err(|e| format!("networked run failed: {e}"))?;
     let elapsed = started.elapsed();
     println!(
@@ -186,8 +203,7 @@ fn run() -> Result<(), String> {
     );
 
     if args.conformance {
-        let engine =
-            run_in_process(&scenario).map_err(|e| format!("in-process run failed: {e}"))?;
+        let engine = run_in_process(scenario).map_err(|e| format!("in-process run failed: {e}"))?;
         conformance_diff(&engine, &net).map_err(|e| format!("CONFORMANCE MISMATCH: {e}"))?;
         println!(
             "conformance: OK ({} rounds, {} traced rounds, {} delivered messages bit-identical)",
@@ -200,7 +216,14 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let (args, scenario) = match configure() {
+        Ok(parts) => parts,
+        Err(e) => {
+            eprintln!("hybrid-driver: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(&args, &scenario) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("hybrid-driver: {e}");

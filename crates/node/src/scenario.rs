@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use hybrid_graph::{generators, Graph, NodeId};
+use hybrid_graph::{generators, Graph, GraphError, NodeId};
 use hybrid_sim::engine::{Executor, NodeProgram, RunReport};
 use hybrid_sim::programs::{
     AckFloodProgram, BfsProgram, DetForwardProgram, FloodProgram, TokenGossipProgram,
@@ -61,25 +61,35 @@ impl GraphSpec {
         }
     }
 
-    /// Materializes the graph.
-    ///
-    /// # Panics
-    /// Panics if the spec is degenerate (e.g. fewer than 2 nodes) — scenario
-    /// specs are pinned test inputs, not untrusted data.
-    pub fn build(&self) -> Graph {
+    /// Runs the family generator.
+    fn generate(&self) -> Result<Graph, GraphError> {
         match *self {
             GraphSpec::Path { n } => generators::path(n),
             GraphSpec::Cycle { n } => generators::cycle(n),
             GraphSpec::Grid { rows, cols } => generators::grid(&[rows, cols]),
             GraphSpec::Star { n } => generators::star(n),
         }
-        .expect("scenario graph spec must be buildable")
+    }
+
+    /// Materializes the graph.
+    ///
+    /// # Panics
+    /// Panics if the spec is degenerate (e.g. a cycle on 2 nodes).
+    /// [`Self::parse`] rejects such specs, so only a hand-built spec can
+    /// reach the panic.
+    pub fn build(&self) -> Graph {
+        self.generate()
+            .expect("scenario graph spec must be buildable")
     }
 
     /// Parses a CLI spelling: `path`, `cycle`, `star`, or `grid-RxC`
     /// (combined with the separate node count for the first three).
+    ///
+    /// # Errors
+    /// An unknown or malformed family, or a spec whose generator fails (the
+    /// [`GraphError`] text, e.g. a path on 0 nodes or an oversized grid).
     pub fn parse(family: &str, n: usize) -> Result<Self, String> {
-        match family {
+        let spec = match family {
             "path" => Ok(GraphSpec::Path { n }),
             "cycle" => Ok(GraphSpec::Cycle { n }),
             "star" => Ok(GraphSpec::Star { n }),
@@ -101,7 +111,10 @@ impl GraphSpec {
                     ))
                 }
             }
-        }
+        }?;
+        spec.generate()
+            .map_err(|e| format!("graph spec {spec:?} cannot be built: {e}"))?;
+        Ok(spec)
     }
 }
 
@@ -340,6 +353,15 @@ mod tests {
         assert_eq!(GraphSpec::parse("grid-4x3", 0).unwrap().n(), 12);
         assert!(GraphSpec::parse("torus", 9).is_err());
         assert!(GraphSpec::parse("grid-4", 0).is_err());
+        // Degenerate specs fail in the parser with the generator's error,
+        // never later in `build`.
+        for (family, n) in [("path", 0), ("cycle", 2), ("star", 0), ("grid-0x5", 0)] {
+            assert!(GraphSpec::parse(family, n).is_err(), "{family} n={n}");
+        }
+        for (family, n) in [("grid-70000x70000", 0), ("star", 1 << 33)] {
+            let err = GraphSpec::parse(family, n).unwrap_err();
+            assert!(err.contains("u32 id space"), "{err}");
+        }
         let g = GraphSpec::Grid { rows: 4, cols: 3 }.build();
         assert_eq!(g.n(), 12);
     }

@@ -1,10 +1,9 @@
 //! One configuration surface for every engine.
 //!
-//! Engine knobs used to be scattered: `Executor::set_fault_plan`,
-//! `HybridNetwork::set_fault_plan`, and a `max_rounds` argument on every
-//! `run` call.  [`EngineConfig`] collapses them into a single builder —
-//! model parameters, scenario seed, fault plan, round cap, trace recording —
-//! accepted by the in-process [`Executor`](crate::engine::Executor), the
+//! [`EngineConfig`] is the single builder for every engine knob — model
+//! parameters, scenario seed, fault plan ([`EngineConfig::with_fault_plan`]
+//! is the only way to install one), round cap, trace recording — accepted by
+//! the in-process [`Executor`](crate::engine::Executor), the
 //! phase engine [`HybridNetwork`](crate::network::HybridNetwork), and the
 //! networked `hybrid-driver`, so a scenario is described once and runs
 //! identically in all three.

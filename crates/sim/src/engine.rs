@@ -282,15 +282,6 @@ impl<'g, P: NodeProgram> Executor<'g, P> {
         }
     }
 
-    /// Installs a fault plan; a failure-free plan is equivalent to none.
-    ///
-    /// # Panics
-    /// Panics if the plan was built for a different node count.
-    #[deprecated(note = "pass the plan through `EngineConfig::with_fault_plan` instead")]
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.config = self.config.clone().with_fault_plan(plan);
-    }
-
     /// Read access to the per-node programs (e.g. to extract results).
     pub fn programs(&self) -> &[P] {
         &self.programs
@@ -1379,33 +1370,5 @@ mod tests {
         assert_eq!(out.global.len(), 3);
         assert_eq!(out.refused, 6);
         assert!(runner.program().refused);
-    }
-
-    /// The deprecated setter keeps working until removal.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_set_fault_plan_is_equivalent_to_config() {
-        use crate::faults::{FaultPlan, FaultSpec};
-        let graph = generators::cycle(12).unwrap();
-        let params = ModelParams::hybrid_with_global_capacity(12, 3);
-        let factory = |id: NodeId| Chaos {
-            id,
-            n: 12,
-            log: Vec::new(),
-        };
-        let plan = FaultPlan::new(FaultSpec::drop_only(0.4), 11, 12);
-
-        let mut old_style = Executor::new(&graph, params, factory);
-        old_style.set_fault_plan(plan.clone());
-        let old_report = old_style.run_capped(10, |_| false);
-
-        let config = EngineConfig::new(params).with_fault_plan(plan);
-        let mut new_style = Executor::with_config(&graph, config, factory);
-        let new_report = new_style.run_capped(10, |_| false);
-
-        assert_eq!(old_report, new_report);
-        for (a, b) in old_style.programs().iter().zip(new_style.programs()) {
-            assert_eq!(a.log, b.log);
-        }
     }
 }

@@ -14,7 +14,7 @@ use hybrid::core::minplus::{self, Assignment, Coeff, RowMatrix};
 use hybrid::core::nq::{lemma_3_6_bounds, NqOracle};
 use hybrid::core::spanner::{greedy_spanner, measured_stretch};
 use hybrid::core::sssp::quantize_distance;
-use hybrid::graph::INFINITY;
+use hybrid::graph::{NodeId, INFINITY};
 use hybrid::prelude::*;
 use hybrid::sim::{GlobalMessage, GlobalScheduler};
 
@@ -729,25 +729,92 @@ proptest! {
     }
 }
 
+/// Sequential reference constructions of the six deterministic streamed
+/// families: each adds its edges one by one through [`GraphBuilder`], in the
+/// plain nested-loop order, with no chunking.
+fn sequential_reference(family: usize, n: usize) -> Graph {
+    let side = ((n as f64).sqrt().ceil() as usize).max(2);
+    let clique = (3 * n / 8).max(2);
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    let nodes = match family {
+        0 => {
+            edges.extend((1..n).map(|v| (v - 1, v)));
+            n
+        }
+        1 => {
+            let n = n.max(3);
+            edges.extend((1..n).map(|v| (v - 1, v)));
+            edges.push((n - 1, 0));
+            n
+        }
+        2 => {
+            for flat in 0..side * side {
+                let (x, y) = (flat % side, flat / side);
+                if x + 1 < side {
+                    edges.push((flat, flat + 1));
+                }
+                if y + 1 < side {
+                    edges.push((flat, flat + side));
+                }
+            }
+            side * side
+        }
+        3 => {
+            edges.extend((1..n).map(|v| ((v - 1) / 2, v)));
+            n
+        }
+        4 => {
+            let (cliques, size, bridges) = (n.div_ceil(8).max(3), 8, 2);
+            for c in 0..cliques {
+                let base = c * size;
+                for u in 0..size {
+                    for v in (u + 1)..size {
+                        edges.push((base + u, base + v));
+                    }
+                }
+                let next = ((c + 1) % cliques) * size;
+                edges.extend((0..bridges).map(|i| (base + i, next + i)));
+            }
+            cliques * size
+        }
+        _ => {
+            let path_len = n.saturating_sub(2 * clique);
+            for base in [0, clique + path_len] {
+                for u in 0..clique {
+                    for v in (u + 1)..clique {
+                        edges.push((base + u, base + v));
+                    }
+                }
+            }
+            let mut prev = clique - 1;
+            for p in 0..path_len {
+                edges.push((prev, clique + p));
+                prev = clique + p;
+            }
+            edges.push((prev, clique + path_len));
+            2 * clique + path_len
+        }
+    };
+    let mut b = GraphBuilder::new(nodes);
+    for (u, v) in edges {
+        b.add_unweighted_edge(u as NodeId, v as NodeId).unwrap();
+    }
+    b.build().unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Streaming generators (deterministic families): bit-identical to the
-    /// legacy sequential generators at overlapping sizes, at every pool
+    /// Streaming generators (deterministic families): bit-identical to a
+    /// plain sequential construction at overlapping sizes, at every pool
     /// width — the chunked emission is a pure re-chunking of the same edge
     /// stream.
     #[test]
     fn streaming_deterministic_families_match_legacy_at_any_width(n in 10usize..400) {
         use hybrid::graph::streaming;
         let side = ((n as f64).sqrt().ceil() as usize).max(2);
-        let legacy: Vec<Graph> = vec![
-            generators::path(n).unwrap(),
-            generators::cycle(n.max(3)).unwrap(),
-            generators::grid(&[side, side]).unwrap(),
-            generators::tree_with_n(2, n).unwrap(),
-            generators::ring_of_cliques(n.div_ceil(8).max(3), 8, 2).unwrap(),
-            generators::barbell((3 * n / 8).max(2), n.saturating_sub(2 * (3 * n / 8).max(2))).unwrap(),
-        ];
+        let clique = (3 * n / 8).max(2);
+        let legacy: Vec<Graph> = (0..6).map(|family| sequential_reference(family, n)).collect();
         for threads in [1usize, 4, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
@@ -760,7 +827,7 @@ proptest! {
                     streaming::grid(&[side, side]).unwrap(),
                     streaming::tree_with_n(2, n).unwrap(),
                     streaming::ring_of_cliques(n.div_ceil(8).max(3), 8, 2).unwrap(),
-                    streaming::barbell((3 * n / 8).max(2), n.saturating_sub(2 * (3 * n / 8).max(2))).unwrap(),
+                    streaming::barbell(clique, n.saturating_sub(2 * clique)).unwrap(),
                 ]
             });
             for (l, s) in legacy.iter().zip(&streamed) {
